@@ -9,8 +9,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module, so ./... above never compiles it.
 test: vet
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/...

@@ -117,6 +117,33 @@ func TestCLIUnknownSpec(t *testing.T) {
 	}
 }
 
+// TestCLIDeepNestingIsParseError pins that hostile nesting ends as an
+// ordinary parse error: exit 2 with one positioned line on stderr, not a
+// runtime stack overflow (which also exits 2, so the text is checked).
+func TestCLIDeepNestingIsParseError(t *testing.T) {
+	bin := buildCLI(t)
+	const n = 100000
+	src := filepath.Join(t.TempDir(), "deep.c")
+	body := "int f(int x) {\n  return " + strings.Repeat("(", n) + "x" + strings.Repeat(")", n) + ";\n}\n"
+	if err := os.WriteFile(src, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, src)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("exit: %v, want status 2\n%s", err, stderr.String())
+	}
+	msg := stderr.String()
+	if strings.Contains(msg, "goroutine") || strings.Contains(msg, "fatal error") {
+		t.Fatalf("runtime crash instead of a parse error:\n%.500s", msg)
+	}
+	if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "deep.c:2:") || !strings.Contains(msg, "nested too deeply") {
+		t.Fatalf("want one positioned parse-error line, got %q", msg)
+	}
+}
+
 const buggyLockUser = `
 extern int mutex_trylock(struct lock *l);
 extern void mutex_unlock(struct lock *l);

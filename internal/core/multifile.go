@@ -78,6 +78,9 @@ func AnalyzeFiles(ctx context.Context, files map[string]string, specs *spec.Spec
 		Analyzed: make(map[string]bool),
 	}}
 
+	// Solver totals: the registry delta across all groups.
+	reg := opts.Obs.Registry()
+	solverBase := solverCounters(reg)
 	for _, group := range groups {
 		if ctx.Err() != nil {
 			// The group during which cancellation fired already recorded
@@ -102,7 +105,6 @@ func AnalyzeFiles(ctx context.Context, files map[string]string, specs *spec.Spec
 		total.Stats.FuncsTruncated += res.Stats.FuncsTruncated
 		total.Stats.FuncsTimedOut += res.Stats.FuncsTimedOut
 		total.Stats.FuncsPanicked += res.Stats.FuncsPanicked
-		total.Stats.Solver.Add(res.Stats.Solver)
 		for fn, cat := range res.Classification.Category {
 			total.Classification.Category[fn] = cat
 		}
@@ -114,6 +116,7 @@ func AnalyzeFiles(ctx context.Context, files map[string]string, specs *spec.Spec
 		total.Classification.NumAffectingUnanalyzed += res.Classification.NumAffectingUnanalyzed
 		total.Classification.NumOther += res.Classification.NumOther
 	}
+	total.Stats.Solver = solverCounters(reg).Sub(solverBase)
 	sortDiagnostics(total.Diagnostics)
 	sortReports(total)
 	return total, nil

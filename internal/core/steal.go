@@ -1,12 +1,12 @@
-// Two-level work-stealing scheduler (§5.3 refined): the outer level keeps
-// the SCC DAG discipline of analyzeParallel — an SCC becomes ready only
-// when every callee SCC has completed — but the inner unit of scheduled
-// work is one enumerated path of one function, not a whole function. The
-// worker that takes an SCC ("owner") runs Step I, publishes the path
-// tasks to its own deque, and any idle worker steals from the top while
-// the owner drains from the bottom. Steps I and III stay on the owner, so
-// per-function state (cache load/save interleaving, summary DB ordering
-// within an SCC) is exactly what the sequential scheduler produces.
+// The pipeline's one scheduler, two-level work stealing (§5.3 refined):
+// the outer level keeps the SCC DAG discipline — an SCC becomes ready
+// only when every callee SCC has completed — but the inner unit of
+// scheduled work is one enumerated path of one function. The worker that
+// takes an SCC ("owner") runs Step I, publishes the path tasks to its own
+// deque, and any idle worker steals from the top while the owner drains
+// from the bottom. Steps I and III stay on the owner, so per-function
+// state (cache load/save interleaving, summary DB ordering within an SCC)
+// is schedule-independent. Workers=1 is one owner with no thieves.
 //
 // Determinism: task results land in per-index slots and Job.Finish merges
 // them in path order; per-task solver give-ups are accumulated into the
@@ -55,8 +55,8 @@ type funcJob struct {
 }
 
 // notePanic records a recovered task panic. When several tasks panic, the
-// one with the minimum index wins, which is the panic a sequential run
-// would have surfaced — so the DegradePanic cause is schedule-independent.
+// one with the minimum index wins, which is the panic a single worker
+// surfaces first — so the DegradePanic cause is schedule-independent.
 func (fj *funcJob) notePanic(idx int, r any) {
 	fj.mu.Lock()
 	if !fj.panicked || idx < fj.panicIdx {
@@ -75,7 +75,7 @@ func (fj *funcJob) panicCauseMin() (string, bool) {
 
 // stealWorker is one worker's private state: its solver (shared query
 // cache, private counters), its seeded victim-selection RNG, and its
-// utilization record.
+// utilization record (nil in a single-worker run).
 type stealWorker struct {
 	id  int
 	slv *solver.Solver
@@ -112,10 +112,10 @@ type stealRun struct {
 	parkCond *sync.Cond
 }
 
-// analyzeSteal runs the two-level work-stealing scheduler. It replaces
-// the function-granularity analyzeParallel: same SCC DAG, same shared
-// solver cache, same cancellation drain, but Workers > 1 now helps inside
-// a single expensive function instead of idling beside it.
+// analyzeSteal runs the two-level work-stealing scheduler with
+// opts.Workers workers. A single-worker run registers no per-worker
+// utilization records and opens no queue spans, so single-worker
+// -metrics and -trace output carries no scheduler detail.
 func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db *summary.DB, toAnalyze func(string) bool, cache *cacheState, opts Options, res *Result) {
 	sccs := g.SCCs()
 	n := len(sccs)
@@ -162,7 +162,9 @@ func analyzeSteal(ctx context.Context, prog *ir.Program, g *callgraph.Graph, db 
 				id:  id,
 				slv: solver.NewWithCache(opts.SolverLimits, scache),
 				rng: sched.NewRNG(uint64(opts.StealSeed) ^ (uint64(id)+1)*0x9e3779b97f4a7c15),
-				wc:  reg.Worker(id),
+			}
+			if workers > 1 {
+				w.wc = reg.Worker(id)
 			}
 			w.slv.SetObs(opts.Obs)
 			s.worker(w)
@@ -295,9 +297,9 @@ func (s *stealRun) runTask(t pathTask, w *stealWorker, stolen bool) {
 	}
 }
 
-// driveSCC analyzes the members of SCC i in order (the same sorted order
-// the sequential scheduler uses, preserving cache load/save interleaving
-// and sibling-summary visibility), then completes the SCC. After
+// driveSCC analyzes the members of SCC i in their sorted order
+// (preserving cache load/save interleaving and sibling-summary
+// visibility), then completes the SCC. After
 // cancellation it still completes, so dependents unblock and the run
 // drains promptly.
 func (s *stealRun) driveSCC(i int, w *stealWorker) {
@@ -341,11 +343,11 @@ func (s *stealRun) driveSCC(i int, w *stealWorker) {
 	s.complete(i)
 }
 
-// analyzeOneStealing is analyzeOne restructured over the Job seam: the
-// owner enumerates (Step I), fans the paths out as stealable tasks (Step
-// II), helps the rest of the run while stolen tasks drain, then merges
-// and checks (Step III) on its own solver. Outcome fields, diagnostic
-// causes, and give-up totals match analyzeOne byte for byte.
+// analyzeOneStealing is the one per-function driver: the owner
+// enumerates (Step I), fans the paths out as stealable tasks (Step II),
+// helps the rest of the run while stolen tasks drain, then merges and
+// checks (Step III) on its own solver. A panic in any step is recovered
+// into a default summary plus a DegradePanic diagnostic.
 func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 	opts := s.opts
 	var out funcOutcome
@@ -360,8 +362,8 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 	w.slv.SetFunction(fn.Name)
 
 	// Step I on the owner; a panic here (e.g. from an OnFunction hook) is
-	// recorded as index -1 so it outranks any task panic, exactly as it
-	// preempts them in a sequential run.
+	// recorded as index -1 so it outranks any task panic, since no task
+	// can run before Step I.
 	tPrep := time.Now()
 	func() {
 		defer func() {
@@ -381,12 +383,13 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 				// Push tasks n-1..1 (reverse, so the owner's LIFO pops
 				// ascending) and run task 0 inline; thieves steal from the
 				// top, i.e. the highest indices — the ones the owner would
-				// reach last.
+				// reach last. A lone worker has no queue time to measure.
 				for i := n - 1; i >= 1; i-- {
-					s.deques[w.id].PushBottom(pathTask{
-						fj: fj, idx: i,
-						queued: opts.Obs.Start(obs.PhaseQueue, fn.Name),
-					})
+					t := pathTask{fj: fj, idx: i}
+					if len(s.deques) > 1 {
+						t.queued = opts.Obs.Start(obs.PhaseQueue, fn.Name)
+					}
+					s.deques[w.id].PushBottom(t)
 				}
 				s.publish()
 			}
@@ -412,14 +415,7 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 	}
 
 	if cause, panicked := fj.panicCauseMin(); panicked {
-		out.panicked = true
-		out.sum = summary.Default(fn.Name)
-		out.diags = append(out.diags, Diagnostic{
-			Fn:    fn.Name,
-			Kind:  DegradePanic,
-			Cause: cause,
-		})
-		return out
+		return panicOutcome(fn.Name, cause)
 	}
 
 	// Step III on the owner's solver. Stolen tasks may have relabeled it.
@@ -427,20 +423,10 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 	w.slv.SetFunction(fn.Name)
 	g0 := w.slv.Stats().GaveUp
 	var sres symexec.Result
-	stepPanicked := false
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				stepPanicked = true
-				out.panicked = true
-				out.reports = nil
-				out.paths = 0
-				out.sum = summary.Default(fn.Name)
-				out.diags = append(out.diags[:0], Diagnostic{
-					Fn:    fn.Name,
-					Kind:  DegradePanic,
-					Cause: fmt.Sprintf("recovered panic: %v", r),
-				})
+				out = panicOutcome(fn.Name, fmt.Sprintf("recovered panic: %v", r))
 			}
 		}()
 		sres = fj.job.Finish()
@@ -448,7 +434,7 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 		out.paths = sres.NumPaths
 	}()
 	w.wc.AddBusy(time.Since(tCheck))
-	if stepPanicked {
+	if out.panicked {
 		return out
 	}
 
@@ -483,7 +469,7 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 	// A function's give-up total is the sum of its tasks' deltas (each
 	// measured on whichever solver ran the task) plus the owner's Step III
 	// delta. The cache replays give-ups on hits, so the total is the same
-	// one analyzeOne computes on a single solver.
+	// at any worker count.
 	if d := fj.gaveUp.Load() + int64(w.slv.Stats().GaveUp-g0); d > 0 {
 		out.diags = append(out.diags, Diagnostic{
 			Fn:    fn.Name,
@@ -492,4 +478,14 @@ func (s *stealRun) analyzeOneStealing(fn *ir.Func, w *stealWorker) funcOutcome {
 		})
 	}
 	return out
+}
+
+// panicOutcome is the outcome of a function whose analysis panicked: the
+// §5.2 default summary and one DegradePanic diagnostic.
+func panicOutcome(fn, cause string) funcOutcome {
+	return funcOutcome{
+		sum:      summary.Default(fn),
+		diags:    []Diagnostic{{Fn: fn, Kind: DegradePanic, Cause: cause}},
+		panicked: true,
+	}
 }

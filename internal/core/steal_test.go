@@ -74,8 +74,9 @@ func TestStealDeterminismProperty(t *testing.T) {
 }
 
 // TestStealSchedulerCountsTasks pins that the scheduler feeds the
-// observability layer: a parallel run must count every executed path task
-// and register per-worker utilization records.
+// observability layer at every worker count: each executed path task is
+// counted, a parallel run registers per-worker utilization records, and a
+// single-worker run registers none and opens no queue or steal spans.
 func TestStealSchedulerCountsTasks(t *testing.T) {
 	c := kernelgen.Generate(kernelgen.Config{
 		Seed: 23, Mix: kernelgen.PaperMix(),
@@ -83,22 +84,33 @@ func TestStealSchedulerCountsTasks(t *testing.T) {
 	})
 	prog := buildCorpus(t, c.Files)
 
-	reg := obs.NewRegistry()
-	res := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{Workers: 4, Obs: obs.New(nil, reg)})
-	if res.Stats.PathsEnumerated == 0 {
-		t.Fatal("corpus enumerated no paths")
-	}
-	// Every enumerated path of every cold-analyzed function is exactly one
-	// task.
-	if got := reg.Counter(obs.MTasksExecuted); got != int64(res.Stats.PathsEnumerated) {
-		t.Errorf("tasks_executed = %d, want %d (one per enumerated path)", got, res.Stats.PathsEnumerated)
-	}
-	if reg.NumWorkers() != 4 {
-		t.Errorf("registered worker records = %d, want 4", reg.NumWorkers())
-	}
-	// tasks_stolen is schedule-dependent (may legitimately be zero on a
-	// fast corpus), but can never exceed tasks_executed.
-	if stolen, tasks := reg.Counter(obs.MTasksStolen), reg.Counter(obs.MTasksExecuted); stolen > tasks {
-		t.Errorf("tasks_stolen = %d exceeds tasks_executed = %d", stolen, tasks)
+	for _, tc := range []struct{ workers, records int }{{1, 0}, {4, 4}} {
+		reg := obs.NewRegistry()
+		res := Analyze(context.Background(), prog, spec.LinuxDPM(), Options{Workers: tc.workers, Obs: obs.New(nil, reg)})
+		if res.Stats.PathsEnumerated == 0 {
+			t.Fatal("corpus enumerated no paths")
+		}
+		// Every enumerated path of every cold-analyzed function is exactly
+		// one task.
+		if got := reg.Counter(obs.MTasksExecuted); got != int64(res.Stats.PathsEnumerated) {
+			t.Errorf("workers=%d: tasks_executed = %d, want %d (one per enumerated path)",
+				tc.workers, got, res.Stats.PathsEnumerated)
+		}
+		if reg.NumWorkers() != tc.records {
+			t.Errorf("workers=%d: registered worker records = %d, want %d", tc.workers, reg.NumWorkers(), tc.records)
+		}
+		// tasks_stolen is schedule-dependent (may legitimately be zero on a
+		// fast corpus), but can never exceed tasks_executed.
+		if stolen, tasks := reg.Counter(obs.MTasksStolen), reg.Counter(obs.MTasksExecuted); stolen > tasks {
+			t.Errorf("workers=%d: tasks_stolen = %d exceeds tasks_executed = %d", tc.workers, stolen, tasks)
+		}
+		if tc.workers == 1 {
+			snap := reg.Snapshot()
+			for _, ph := range []obs.Phase{obs.PhaseQueue, obs.PhaseSteal} {
+				if n := snap.Phase(ph).Count; n != 0 {
+					t.Errorf("workers=1: %s phase count = %d, want 0", ph, n)
+				}
+			}
+		}
 	}
 }

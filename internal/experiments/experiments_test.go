@@ -124,9 +124,6 @@ func TestAblations(t *testing.T) {
 	if keep := byName["keep local conditions (no §3.3.3 projection)"]; keep.Reports*10 > base.Reports {
 		t.Errorf("keep-locals ablation should collapse reports: %d vs baseline %d", keep.Reports, base.Reports)
 	}
-	if pw := byName["path workers = 4 (§7 future work)"]; pw.Reports != base.Reports {
-		t.Errorf("path workers changed reports: %d vs %d", pw.Reports, base.Reports)
-	}
 	havoc := byName["bit tests havocked (paper abstraction)"]
 	preserved := byName["bit tests preserved (§5.4 future work)"]
 	if havoc.FPs == 0 || preserved.FPs != 0 {

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/frontend/ast"
@@ -49,6 +50,13 @@ out:
 		"struct device { int pm; };\nextern int probe(struct device *d);",
 		"int bad( { ; } }",
 		"assert(p != NULL); int",
+		// Nesting at and past the parser's bounds: the deepest accepted
+		// trees must still re-parse once printed fully parenthesized.
+		"int f(int a) { return " + strings.Repeat("!", maxNesting-1) + "a; }",
+		"int f(int a) { return " + strings.Repeat("a + ", maxNesting-1) + "a; }",
+		"int f(int a) { return " + strings.Repeat("!", 10*maxNesting) + "a; }",
+		"int f(int a) { return " + strings.Repeat("(", 10*maxNesting) + "a" + strings.Repeat(")", 10*maxNesting) + "; }",
+		"void f(void) { " + strings.Repeat("{", 10*maxNesting) + " }",
 	} {
 		f.Add(seed)
 	}

@@ -15,6 +15,17 @@ import (
 	"repro/internal/frontend/token"
 )
 
+// Nesting bounds, so that no input overflows the stack here or in the
+// recursive passes over the AST: statements and expression trees nest at
+// most maxNesting deep. Parentheses, casts and prefix operators recurse
+// before any node exists, so expression descent is also capped, at
+// maxRecursion frames: room for the printed form of any accepted tree,
+// which parenthesizes every operator.
+const (
+	maxNesting   = 1000
+	maxRecursion = 4 * maxNesting
+)
+
 // Parser parses one translation unit.
 type Parser struct {
 	toks   []token.Token
@@ -22,7 +33,13 @@ type Parser struct {
 	file   string
 	errs   []error
 	panics int // consecutive resync count, to guarantee progress
+
+	stmts, frames int // statement and expression recursion depth
+	ed            int // node depth of the expression parsed last
 }
+
+// tooDeep abandons a file that crossed a nesting bound (see deepen).
+type tooDeep struct{}
 
 // ParseFile lexes and parses src, returning the AST and any accumulated
 // syntax errors (the AST is still usable when errors are non-nil, covering
@@ -76,6 +93,22 @@ func (p *Parser) errorf(format string, args ...any) {
 	p.errs = append(p.errs, fmt.Errorf("%s: %s", p.cur().Pos, fmt.Sprintf(format, args...)))
 }
 
+// deepen increments the depth *n; past limit it records a positioned
+// error and abandons the file, keeping the declarations before it.
+func (p *Parser) deepen(n *int, limit int, what string) {
+	if *n++; *n > limit {
+		p.errorf("%s nested too deeply (limit %d)", what, limit)
+		panic(tooDeep{})
+	}
+}
+
+// nest returns the node depth of an expression over children at most d
+// deep.
+func (p *Parser) nest(d int) int {
+	p.deepen(&d, maxNesting, "expression")
+	return d
+}
+
 // sync skips tokens until a likely statement/declaration boundary: a
 // semicolon or closing brace at the current nesting level, or — since brace
 // counting is unreliable after a syntax error — a type keyword at the start
@@ -113,8 +146,13 @@ func (p *Parser) sync() {
 // ---------------------------------------------------------------------------
 // Declarations
 
-func (p *Parser) parseFile() *ast.File {
-	f := &ast.File{Name: p.file}
+func (p *Parser) parseFile() (f *ast.File) {
+	f = &ast.File{Name: p.file}
+	defer func() {
+		if r := recover(); r != nil && r != (tooDeep{}) {
+			panic(r)
+		}
+	}()
 	for !p.at(token.EOF) {
 		before := p.pos
 		d := p.parseTopDecl(f)
@@ -288,6 +326,8 @@ func (p *Parser) parseBlock() *ast.BlockStmt {
 }
 
 func (p *Parser) parseStmt() ast.Stmt {
+	p.deepen(&p.stmts, maxNesting, "statements")
+	defer func() { p.stmts-- }()
 	pos := p.cur().Pos
 	switch p.cur().Kind {
 	case token.LBRACE:
@@ -544,11 +584,15 @@ func (p *Parser) parseSwitch() ast.Stmt {
 // parseExpr parses an expression including assignment (lowest precedence,
 // right-associative).
 func (p *Parser) parseExpr() ast.Expr {
+	p.deepen(&p.frames, maxRecursion, "expression recursion")
+	defer func() { p.frames-- }()
 	lhs := p.parseTernary()
 	switch p.cur().Kind {
 	case token.ASSIGN, token.PLUSASSIGN, token.MINUSASSIGN:
+		d := p.ed
 		op := p.next().Kind
 		rhs := p.parseExpr()
+		p.ed = p.nest(max(d, p.ed))
 		return &ast.AssignExpr{Op: op, LHS: lhs, RHS: rhs, P: lhs.Pos()}
 	}
 	return lhs
@@ -576,19 +620,24 @@ var precedence = map[token.Kind]int{
 
 func (p *Parser) parseBinary(minPrec int) ast.Expr {
 	lhs := p.parseUnary()
+	d := p.ed
 	for {
 		op := p.cur().Kind
 		prec, ok := precedence[op]
 		if !ok || prec < minPrec {
+			p.ed = d
 			return lhs
 		}
 		pos := p.next().Pos
 		rhs := p.parseBinary(prec + 1)
+		d = p.nest(max(d, p.ed))
 		lhs = &ast.BinaryExpr{Op: op, X: lhs, Y: rhs, P: pos}
 	}
 }
 
 func (p *Parser) parseUnary() ast.Expr {
+	p.deepen(&p.frames, maxRecursion, "expression recursion")
+	defer func() { p.frames-- }()
 	pos := p.cur().Pos
 	switch p.cur().Kind {
 	case token.NOT, token.MINUS, token.TILDE, token.STAR, token.AMP, token.PLUS:
@@ -597,10 +646,12 @@ func (p *Parser) parseUnary() ast.Expr {
 		if op == token.PLUS {
 			return x
 		}
+		p.ed = p.nest(p.ed)
 		return &ast.UnaryExpr{Op: op, X: x, P: pos}
 	case token.PLUSPLUS, token.MINUSMINUS:
 		op := p.next().Kind
 		x := p.parseUnary()
+		p.ed = p.nest(p.ed)
 		return &ast.IncDecExpr{Op: op, X: x, P: pos}
 	case token.KwSizeof:
 		p.next()
@@ -620,6 +671,7 @@ func (p *Parser) parseUnary() ast.Expr {
 			p.parseUnary()
 		}
 		// Abstract sizeof as an unknown positive — a random value.
+		p.ed = 1
 		return &ast.RandomExpr{P: pos}
 	}
 	return p.parsePostfix()
@@ -640,8 +692,10 @@ func (p *Parser) parsePostfix() ast.Expr {
 			x = &ast.FieldExpr{X: x, Name: name, P: pos}
 		case token.LBRACK:
 			p.next()
+			d := p.ed
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
+			p.ed = max(d, p.ed)
 			x = &ast.IndexExpr{X: x, Index: idx, P: pos}
 		case token.PLUSPLUS, token.MINUSMINUS:
 			op := p.next().Kind
@@ -649,25 +703,30 @@ func (p *Parser) parsePostfix() ast.Expr {
 		default:
 			return x
 		}
+		p.ed = p.nest(p.ed)
 	}
 }
 
 func (p *Parser) parsePrimary() ast.Expr {
 	pos := p.cur().Pos
+	p.ed = 1
 	switch p.cur().Kind {
 	case token.IDENT:
 		name := p.next().Lit
 		if p.accept(token.LPAREN) {
 			call := &ast.CallExpr{Fun: name, P: pos}
+			d := 0
 			if !p.at(token.RPAREN) {
 				for {
 					call.Args = append(call.Args, p.parseExpr())
+					d = max(d, p.ed)
 					if !p.accept(token.COMMA) {
 						break
 					}
 				}
 			}
 			p.expect(token.RPAREN)
+			p.ed = p.nest(d)
 			return call
 		}
 		return &ast.Ident{Name: name, P: pos}

@@ -73,6 +73,48 @@ func TestDeepNesting(t *testing.T) {
 	ParseFile("deep2.c", src2) // errors are fine; panics are not
 }
 
+// TestNestingLimits pins each nesting bound at the limit and one past it.
+// A return statement's expression starts two recursion frames deep
+// (parseExpr, parseUnary) and each parenthesis adds two more; each prefix
+// operator adds one node level over its operand; each nested block adds
+// one statement level over the statement inside it.
+func TestNestingLimits(t *testing.T) {
+	nots := func(n int) string { return "int f(int a) { return " + strings.Repeat("!", n) + "a; }" }
+	parens := func(n int) string {
+		return "int f(int a) { return " + strings.Repeat("(", n) + "a" + strings.Repeat(")", n) + "; }"
+	}
+	blocks := func(n int) string {
+		return "void f(void) { " + strings.Repeat("{", n) + ";" + strings.Repeat("}", n) + " }"
+	}
+	cases := []struct {
+		name string
+		src  string
+		want string // "" means the file must parse
+	}{
+		{"unary at limit", nots(maxNesting - 1), ""},
+		{"unary past limit", nots(maxNesting), "expression nested too deeply"},
+		{"parens at limit", parens((maxRecursion - 2) / 2), ""},
+		{"parens past limit", parens((maxRecursion-2)/2 + 1), "expression recursion nested too deeply"},
+		{"blocks at limit", blocks(maxNesting - 1), ""},
+		{"blocks past limit", blocks(maxNesting), "statements nested too deeply"},
+	}
+	for _, tc := range cases {
+		f, err := ParseFile("deep.c", tc.src)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		case tc.want != "" && !strings.HasPrefix(err.Error(), "deep.c:1:"):
+			t.Errorf("%s: error %q is not positioned", tc.name, err)
+		case tc.want != "" && strings.Contains(err.Error(), "\n"):
+			t.Errorf("%s: want exactly one error, got %q", tc.name, err)
+		case tc.want != "" && len(f.Decls) != 0:
+			t.Errorf("%s: the abandoned function must not be returned", tc.name)
+		}
+	}
+}
+
 func TestEmptyAndWhitespaceOnly(t *testing.T) {
 	for _, src := range []string{"", "   ", "\n\n\n", "// only a comment\n", "/* block */"} {
 		f, err := ParseFile("empty.c", src)

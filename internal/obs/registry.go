@@ -177,8 +177,12 @@ type WorkerCounters struct {
 }
 
 // AddTask records one executed task: stolen marks cross-worker execution,
-// d is the wall-clock the task occupied the worker.
+// d is the wall-clock the task occupied the worker. A nil record (a
+// single-worker run registers none) ignores this and AddBusy.
 func (w *WorkerCounters) AddTask(stolen bool, d time.Duration) {
+	if w == nil {
+		return
+	}
 	w.tasks.Add(1)
 	if stolen {
 		w.stolen.Add(1)
@@ -188,12 +192,16 @@ func (w *WorkerCounters) AddTask(stolen bool, d time.Duration) {
 
 // AddBusy adds non-task scheduler work (function prepare/merge/check time
 // spent by the driving worker) to the busy total.
-func (w *WorkerCounters) AddBusy(d time.Duration) { w.busyNS.Add(int64(d)) }
+func (w *WorkerCounters) AddBusy(d time.Duration) {
+	if w != nil {
+		w.busyNS.Add(int64(d))
+	}
+}
 
 // Registry is the shared metrics store: a fixed set of padded atomic
-// counters plus one duration histogram per phase, and — once a parallel
-// scheduler registers — one utilization record per worker. One Registry
-// serves an entire run (all SCC and path workers) and may outlive it —
+// counters plus one duration histogram per phase, and — once a
+// multi-worker run registers — one utilization record per worker. One
+// Registry serves an entire run (all scheduler workers) and may outlive it —
 // cmd/rid keeps a single registry across -separate file groups, and
 // ServeDebug exposes it live.
 type Registry struct {

@@ -137,6 +137,36 @@ func TestAnalyzeMalformedInputs(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDeepNesting400 pins that a source nested past the parser's
+// bounds is a client error, and that the daemon that rejected it keeps
+// serving.
+func TestAnalyzeDeepNesting400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const n = 100000
+	src := "int f(int x) { return " + strings.Repeat("(", n) + "x" + strings.Repeat(")", n) + "; }"
+	body, err := json.Marshal(&AnalyzeRequest{Files: map[string]string{"deep.c": src}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "nested too deeply") {
+		t.Fatalf("status %d (want 400 with a nesting error): %s", resp.StatusCode, data)
+	}
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the rejected request: status %d", hr.StatusCode)
+	}
+}
+
 func TestAnalyzeDeadline504(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, ar := postAnalyze(t, ts.URL, &AnalyzeRequest{

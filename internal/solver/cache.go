@@ -4,8 +4,7 @@ import "sync"
 
 // Cache is a sharded, mutex-striped SAT/UNSAT memo table keyed by the
 // canonical identity of a constraint set (sym.Set.CacheKey). A single
-// Cache is safely shared by every SCC worker and path worker of an
-// analysis run: results are deterministic for fixed Limits, so sharing
+// Cache is safely shared by every scheduler worker of an analysis run: results are deterministic for fixed Limits, so sharing
 // only removes duplicate solves, never changes an answer.
 //
 // Alongside the verdict, each entry records whether solving the query

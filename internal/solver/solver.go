@@ -62,15 +62,6 @@ type Stats struct {
 	GaveUp    int // budget exceeded, answered SAT conservatively
 }
 
-// Add accumulates o into s (merging per-worker counters).
-func (s *Stats) Add(o Stats) {
-	s.Queries += o.Queries
-	s.CacheHits += o.CacheHits
-	s.Sat += o.Sat
-	s.Unsat += o.Unsat
-	s.GaveUp += o.GaveUp
-}
-
 // Sub returns s − o componentwise — the delta between two snapshots.
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
@@ -84,8 +75,7 @@ func (s Stats) Sub(o Stats) Stats {
 
 // Solver answers satisfiability queries with memoization. A Solver's
 // counters are not safe for concurrent use — create one per worker — but
-// the underlying Cache may be shared across workers (see Fork and
-// NewWithCache).
+// the underlying Cache may be shared across workers (see NewWithCache).
 type Solver struct {
 	limits  Limits
 	cache   *Cache
@@ -109,7 +99,7 @@ type Solver struct {
 	varBuf    []string        // collectVars: result buffer
 	elimLo    []linear        // eliminate: lower-bound partition
 	elimHi    []linear        // eliminate: upper-bound partition
-	pairs     PairBatch // scratch for Pairs (one live batch per solver)
+	pairs     PairBatch       // scratch for Pairs (one live batch per solver)
 }
 
 // New returns a solver with default limits and a private cache.
@@ -127,14 +117,6 @@ func NewWithCache(l Limits, c *Cache) *Solver {
 	return &Solver{limits: l.Normalized(), cache: c}
 }
 
-// Fork returns a new solver sharing s's limits, cache, and observer, with
-// fresh counters. Use one fork per worker goroutine; merge the counters
-// back with AddStats. (The observer's registry is atomic, so forks count
-// into it directly; only the local Stats need merging.)
-func (s *Solver) Fork() *Solver {
-	return &Solver{limits: s.limits, cache: s.cache, obs: s.obs, fn: s.fn, noQuick: s.noQuick}
-}
-
 // SetObs attaches an observer: every query increments the registry
 // counters at the event site, and — when query timing is enabled — emits a
 // PhaseSolver span labeled with the current function (see SetFunction).
@@ -148,14 +130,8 @@ func (s *Solver) SetFunction(fn string) { s.fn = fn }
 func (s *Solver) Stats() Stats { return s.stats }
 
 // Limits returns the effective (normalized) per-query limits, so callers
-// can verify that forked workers inherited the configured bounds.
+// can verify that every worker's solver inherited the configured bounds.
 func (s *Solver) Limits() Limits { return s.limits }
-
-// AddStats merges counters from a forked worker back into s.
-func (s *Solver) AddStats(o Stats) { s.stats.Add(o) }
-
-// DisableCache turns memoization off (ablation support).
-func (s *Solver) DisableCache() { s.cache = nil }
 
 // Sat reports whether the conjunction is satisfiable over the integers.
 func (s *Solver) Sat(cs sym.Set) bool {

@@ -55,9 +55,9 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // summary, reports, or deterministic diagnostics. Two runs with equal
 // fingerprints and equal per-function digests compute identical outcomes,
 // so entries are interchangeable between them. Wall-clock options
-// (FuncTimeout), scheduling options (Workers, PathWorkers), and
-// memoization toggles (solver cache) are deliberately absent: they cannot
-// change results, only how long they take.
+// (FuncTimeout), scheduling options (Workers), and memoization toggles
+// (solver cache) are deliberately absent: they cannot change results,
+// only how long they take.
 type Fingerprint struct {
 	MaxPaths             int
 	MaxSubcases          int

@@ -11,6 +11,19 @@ import (
 	"repro/internal/sym"
 )
 
+// branchySrc has 2^5 = 32 paths, enough to cycle pooled path contexts.
+const branchySrc = `
+int f(struct device *dev, int a, int b, int c, int d, int e) {
+    int acc = 0;
+    if (a > 0) { pm_runtime_get(dev); acc = 1; pm_runtime_put(dev); }
+    if (b > 0) acc = do_thing(dev);
+    if (c > 0) { pm_runtime_get_sync(dev); acc = 2; }
+    if (d > 0) acc = 3;
+    if (e > 0) pm_runtime_put(dev);
+    return acc;
+}
+`
+
 // dirtyState fills every mutable field of a pooled state, standing in for
 // a state at the end of a path.
 func dirtyState() *state {
