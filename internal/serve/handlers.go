@@ -155,6 +155,21 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
+	resp, status, runErr := s.analyzeAdmitted(r.Context(), specs, &req, rec, release)
+	if runErr != nil {
+		errorJSON(w, status, "%v", runErr)
+		return
+	}
+	w.Header().Set("Server-Timing", serverTiming(resp.Phases))
+	writeJSON(w, status, resp)
+}
+
+// analyzeAdmitted serves one admitted request from the result memo or a
+// fresh run and releases its admission slot before returning. The slot
+// covers the analysis only, not the response write: a client that has
+// read its response never sees its own request still in flight, and a
+// slow reader holds no analysis slot.
+func (s *Server) analyzeAdmitted(parent context.Context, specs rid.Specs, req *AnalyzeRequest, rec *reqRecord, release func()) (*AnalyzeResponse, int, error) {
 	defer release()
 
 	// Memoization: a repeat of an identical request is served from
@@ -163,7 +178,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	cacheable := !req.NoCache && !req.Trace && !req.Metrics
 	key := ""
 	if cacheable {
-		key = requestKey(&req)
+		key = requestKey(req)
 		if resp := s.rcache.get(key); resp != nil {
 			s.cacheHits.Add(1)
 			resp.Cached = true
@@ -171,21 +186,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			if rec != nil {
 				rec.memoHit = true
 			}
-			w.Header().Set("Server-Timing", serverTiming(resp.Phases))
-			writeJSON(w, http.StatusOK, resp)
-			return
+			return resp, http.StatusOK, nil
 		}
 		s.metrics.cacheMiss.Add(1)
 	}
 
-	ctx, cancel := s.requestContext(r.Context(), req.DeadlineMS)
+	ctx, cancel := s.requestContext(parent, req.DeadlineMS)
 	defer cancel()
 
 	t0 := time.Now()
-	resp, status, runErr := s.runAnalyze(ctx, specs, &req, rec)
+	resp, status, runErr := s.runAnalyze(ctx, specs, req, rec)
 	if runErr != nil {
-		errorJSON(w, status, "%v", runErr)
-		return
+		return nil, status, runErr
 	}
 	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	if status == http.StatusOK {
@@ -198,8 +210,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("analyze files=%d corpus=%t status=%d cached=%t elapsed=%.1fms",
 		len(req.Files), req.Corpus, status, resp.Cached, resp.ElapsedMS)
-	w.Header().Set("Server-Timing", serverTiming(resp.Phases))
-	writeJSON(w, status, resp)
+	return resp, status, nil
 }
 
 // runAnalyze performs one admitted, deadline-bounded analysis and shapes
